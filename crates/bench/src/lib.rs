@@ -50,3 +50,13 @@ pub mod simspeed;
 pub fn quick_from_args() -> bool {
     std::env::args().any(|a| a == "--quick")
 }
+
+/// Held by the unit tests that run a timed sweep, so a test that gates on
+/// wall-clock never measures beside another sweep's load in the same test
+/// binary (`cargo test` runs a binary's tests on parallel threads).
+#[cfg(test)]
+pub(crate) fn timed_test_guard() -> std::sync::MutexGuard<'static, ()> {
+    static TIMED: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // A failed timed test poisons the lock; the next one can still run.
+    TIMED.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -432,6 +432,7 @@ mod tests {
     /// every (kernel, threads, sanitizer) cell is present.
     #[test]
     fn quick_sweep_is_complete_and_consistent() {
+        let _timed = crate::timed_test_guard();
         let rows = run(true);
         // 3 kernels × (4 off + 4 adaptive + 1 dense) + 2 engine-leg
         // kernels × {tree, bytecode}.

@@ -13,12 +13,17 @@
 //! * element storage is 64-bit words behind relaxed atomics (the
 //!   [`DevValue`] codec maps every element type onto words), so plain
 //!   reads/writes never take a lock;
-//! * the segment table is append-only and snapshot-swapped: allocation
-//!   clones the `Arc` table under a short mutex, while accessors go through
-//!   a cached [`GlobalView`] snapshot refreshed only when a lookup misses;
-//! * the first-touch (compulsory DRAM) tracker is striped by sector across
-//!   [`TOUCH_STRIPES`] mutexes — insert-exactly-once semantics keep the
-//!   *sum* of first touches deterministic under any block interleaving;
+//! * the segment table is a plain append-only `Vec` under one mutex:
+//!   allocation pushes, free swaps in a `None` tombstone, both O(1). A
+//!   block's [`GlobalView`] memoizes the segments it touches (one `Arc`
+//!   clone per segment, taken on a lookup miss) and resolves every later
+//!   access to a `&Segment` it already owns, so the hot path writes no
+//!   shared cache line. A freed segment's `alive` flag is shared with
+//!   every memoized `Arc`, so stale views still detect use-after-free;
+//! * the first-touch (compulsory DRAM) tracker is a dense atomic bitmap
+//!   over host sectors, striped across [`TOUCH_STRIPES`] mutexes beyond it
+//!   — insert-exactly-once semantics keep the *sum* of first touches
+//!   deterministic under any block interleaving;
 //! * device-side fallback allocations land in per-block **arenas** at
 //!   deterministic synthetic addresses (`ARENA_BASE + block_id *
 //!   ARENA_STRIDE`), so cache-set hashing and coalescing never depend on
@@ -30,7 +35,8 @@
 //! the parallel region.
 
 use std::any::TypeId;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -144,10 +150,10 @@ impl Segment {
     }
 }
 
-type SegTable = Arc<Vec<Arc<Segment>>>;
-
 struct Master {
-    segs: SegTable,
+    /// Every segment ever allocated, indexed by segment id; `None` once
+    /// freed (the memory is reclaimed when the last memoizing view drops).
+    segs: Vec<Option<Arc<Segment>>>,
     next_base: u64,
 }
 
@@ -181,7 +187,7 @@ impl GlobalMem {
     /// Create an empty global memory.
     pub fn new() -> GlobalMem {
         GlobalMem {
-            master: Mutex::new(Master { segs: Arc::new(Vec::new()), next_base: SEG_ALIGN }),
+            master: Mutex::new(Master { segs: Vec::new(), next_base: SEG_ALIGN }),
             live_bytes: AtomicU64::new(0),
             peak_bytes: AtomicU64::new(0),
             alloc_count: AtomicU64::new(0),
@@ -189,21 +195,14 @@ impl GlobalMem {
         }
     }
 
-    /// Current segment-table snapshot (cheap `Arc` clone).
-    pub(crate) fn snapshot(&self) -> SegTable {
-        Arc::clone(&lock(&self.master).segs)
-    }
-
-    /// A block-scoped accessor with a cached table snapshot and this
-    /// block's deterministic fallback arena.
+    /// A block-scoped accessor with its own segment memo and this block's
+    /// deterministic fallback arena.
     pub fn view(&self, block_id: u32) -> GlobalView<'_> {
         let arena = ARENA_BASE + block_id as u64 * ARENA_STRIDE;
         GlobalView {
             mem: self,
-            snap: self.snapshot(),
+            segs: SegMemo::default(),
             touch: Arc::clone(&lock(&self.touched)),
-            cache_id: u32::MAX,
-            cache_seg: None,
             arena_next: arena,
             arena_limit: arena + ARENA_STRIDE,
             arena_allocs: Vec::new(),
@@ -227,8 +226,7 @@ impl GlobalMem {
             }
         };
         let seg = m.segs.len() as u32;
-        let mut table: Vec<Arc<Segment>> = m.segs.as_ref().clone();
-        table.push(Arc::new(Segment {
+        m.segs.push(Some(Arc::new(Segment {
             base,
             len: data.len(),
             elem_bytes: std::mem::size_of::<T>(),
@@ -236,8 +234,7 @@ impl GlobalMem {
             type_id: TypeId::of::<T>(),
             alive: AtomicBool::new(true),
             words,
-        }));
-        m.segs = Arc::new(table);
+        })));
         drop(m);
         self.live_bytes.fetch_add(bytes, Ordering::Relaxed);
         self.peak_bytes.fetch_max(self.live_bytes.load(Ordering::Relaxed), Ordering::Relaxed);
@@ -257,40 +254,33 @@ impl GlobalMem {
     }
 
     /// Free a segment. Accessing it afterwards panics (simulated
-    /// use-after-free detection). The word storage is replaced by a
-    /// tombstone so memory is reclaimed once outstanding block views drop
-    /// their snapshots.
+    /// use-after-free detection), also through views that memoized it; its
+    /// word storage is reclaimed once those views drop.
     pub fn free<T: DevValue>(&self, p: DPtr<T>) {
-        let mut m = lock(&self.master);
-        let seg = m
+        self.free_untyped(p.seg);
+    }
+
+    /// Free a segment without knowing its element type (`free` does no type
+    /// check either: the `DPtr` type only matters for element access).
+    fn free_untyped(&self, idx: u32) {
+        let seg = lock(&self.master)
             .segs
-            .get(p.seg as usize)
-            .cloned()
-            .unwrap_or_else(|| panic!("free of invalid segment {}", p.seg));
-        if !seg.alive.swap(false, Ordering::Relaxed) {
-            panic!("double free of segment {}", p.seg);
-        }
-        let mut table: Vec<Arc<Segment>> = m.segs.as_ref().clone();
-        table[p.seg as usize] = Arc::new(Segment {
-            base: seg.base,
-            len: seg.len,
-            elem_bytes: seg.elem_bytes,
-            elem_words: seg.elem_words,
-            type_id: seg.type_id,
-            alive: AtomicBool::new(false),
-            words: Vec::new(),
-        });
-        m.segs = Arc::new(table);
-        drop(m);
+            .get_mut(idx as usize)
+            .unwrap_or_else(|| panic!("free of invalid segment {idx}"))
+            .take()
+            .unwrap_or_else(|| panic!("double free of segment {idx}"));
+        seg.alive.store(false, Ordering::Relaxed);
         self.live_bytes.fetch_sub(seg.logical_bytes(), Ordering::Relaxed);
     }
 
+    /// Resolve a segment id (one `Arc` clone under the table lock; views
+    /// call this once per segment they touch).
     fn seg(&self, idx: u32) -> Arc<Segment> {
-        lock(&self.master)
-            .segs
-            .get(idx as usize)
-            .cloned()
-            .unwrap_or_else(|| panic!("access to invalid segment {idx}"))
+        match lock(&self.master).segs.get(idx as usize) {
+            Some(Some(s)) => Arc::clone(s),
+            Some(None) => panic!("use after free of segment {idx}"),
+            None => panic!("access to invalid segment {idx}"),
+        }
     }
 
     /// Read element `idx` relative to pointer `p` (functional access, no
@@ -380,11 +370,12 @@ impl GlobalMem {
     /// Word-level snapshot of every live segment — the oracle mode uses this
     /// to rewind device memory between the tree-walk and bytecode runs.
     pub fn checkpoint(&self) -> MemCheckpoint {
-        let table = self.snapshot();
-        let segs = table
+        let m = lock(&self.master);
+        let segs = m
+            .segs
             .iter()
             .enumerate()
-            .filter(|(_, s)| s.alive.load(Ordering::Relaxed))
+            .filter_map(|(i, s)| Some((i, s.as_ref()?)))
             .map(|(i, s)| CkSeg {
                 seg: i as u32,
                 base: s.base,
@@ -399,53 +390,30 @@ impl GlobalMem {
     /// checkpoint are freed. Panics if a checkpointed segment was freed in
     /// the meantime — the oracle cannot resurrect tombstones.
     pub fn restore(&self, ck: &MemCheckpoint) {
-        let table = self.snapshot();
         let kept: HashSet<u32> = ck.segs.iter().map(|s| s.seg).collect();
-        for (i, s) in table.iter().enumerate() {
-            if s.alive.load(Ordering::Relaxed) && !kept.contains(&(i as u32)) {
-                self.free_untyped(i as u32);
-            }
+        let fresh: Vec<u32> = {
+            let m = lock(&self.master);
+            (0..m.segs.len() as u32)
+                .filter(|i| m.segs[*i as usize].is_some() && !kept.contains(i))
+                .collect()
+        };
+        for i in fresh {
+            self.free_untyped(i);
         }
+        let m = lock(&self.master);
         for c in &ck.segs {
-            let s = table
+            let s = m
+                .segs
                 .get(c.seg as usize)
-                .unwrap_or_else(|| panic!("restore of unknown segment {}", c.seg));
-            assert!(
-                s.alive.load(Ordering::Relaxed) && s.words.len() == c.words.len(),
-                "cannot restore segment {}: freed since the checkpoint",
-                c.seg
-            );
+                .unwrap_or_else(|| panic!("restore of unknown segment {}", c.seg))
+                .as_ref()
+                .unwrap_or_else(|| {
+                    panic!("cannot restore segment {}: freed since the checkpoint", c.seg)
+                });
             for (w, v) in s.words.iter().zip(&c.words) {
                 w.store(*v, Ordering::Relaxed);
             }
         }
-    }
-
-    /// Free a segment without knowing its element type (the type check in
-    /// [`Self::free`] is only there for the typed `DPtr` surface).
-    fn free_untyped(&self, idx: u32) {
-        let mut m = lock(&self.master);
-        let seg = m
-            .segs
-            .get(idx as usize)
-            .cloned()
-            .unwrap_or_else(|| panic!("free of invalid segment {idx}"));
-        if !seg.alive.swap(false, Ordering::Relaxed) {
-            panic!("double free of segment {idx}");
-        }
-        let mut table: Vec<Arc<Segment>> = m.segs.as_ref().clone();
-        table[idx as usize] = Arc::new(Segment {
-            base: seg.base,
-            len: seg.len,
-            elem_bytes: seg.elem_bytes,
-            elem_words: seg.elem_words,
-            type_id: seg.type_id,
-            alive: AtomicBool::new(false),
-            words: Vec::new(),
-        });
-        m.segs = Arc::new(table);
-        drop(m);
-        self.live_bytes.fetch_sub(seg.logical_bytes(), Ordering::Relaxed);
     }
 }
 
@@ -512,20 +480,35 @@ impl FallbackRange {
     }
 }
 
-/// A block's accessor to shared global memory: caches a segment-table
-/// snapshot (refreshed on lookup miss — segment indices only grow) and owns
-/// the block's deterministic fallback arena.
+/// Hasher for segment ids: a Fibonacci multiply spreads the small dense
+/// ids over the whole hash word, at a fraction of SipHash's cost.
+#[derive(Default)]
+struct SegIdHasher(u64);
+
+impl Hasher for SegIdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("segment ids hash through write_u32")
+    }
+
+    fn write_u32(&mut self, id: u32) {
+        self.0 = u64::from(id).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+/// A view's memo: the segments it has touched, by id.
+type SegMemo = HashMap<u32, Arc<Segment>, BuildHasherDefault<SegIdHasher>>;
+
+/// A block's accessor to shared global memory: memoizes the segments the
+/// block touches (filled from the device table on a miss) and owns the
+/// block's deterministic fallback arena.
 pub struct GlobalView<'g> {
     mem: &'g GlobalMem,
-    snap: SegTable,
+    segs: SegMemo,
     touch: Arc<TouchMap>,
-    /// One-entry segment cache for the hot access path: most super-steps
-    /// hammer one or two segments, so the id compare plus one `Arc` deref
-    /// beats the table walk. `u32::MAX` = empty. Safe across frees: the
-    /// cached `Arc` shares the segment's `alive` flag, so stale use still
-    /// panics exactly like a stale snapshot would.
-    cache_id: u32,
-    cache_seg: Option<Arc<Segment>>,
     arena_next: u64,
     arena_limit: u64,
     arena_allocs: Vec<FallbackRange>,
@@ -533,20 +516,9 @@ pub struct GlobalView<'g> {
 
 impl<'g> GlobalView<'g> {
     #[inline]
-    fn seg(&mut self, idx: u32) -> &Arc<Segment> {
-        if self.cache_id != idx {
-            if self.snap.get(idx as usize).is_none() {
-                self.snap = self.mem.snapshot();
-            }
-            let s = Arc::clone(
-                self.snap
-                    .get(idx as usize)
-                    .unwrap_or_else(|| panic!("access to invalid segment {idx}")),
-            );
-            self.cache_seg = Some(s);
-            self.cache_id = idx;
-        }
-        self.cache_seg.as_ref().unwrap()
+    fn seg(&mut self, idx: u32) -> &Segment {
+        let mem = self.mem;
+        self.segs.entry(idx).or_insert_with(|| mem.seg(idx))
     }
 
     /// Read element `idx` relative to `p`.
@@ -640,7 +612,6 @@ impl<'g> GlobalView<'g> {
         let base = self.arena_next;
         self.arena_next += aligned;
         let p = self.mem.push_segment(&vec![T::default(); n], Some(base));
-        self.snap = self.mem.snapshot();
         self.arena_allocs.push(FallbackRange { base, bytes, freed: false, seg: p.seg });
         p
     }
@@ -649,9 +620,7 @@ impl<'g> GlobalView<'g> {
     /// view are marked freed for the leak/race analysis.
     pub fn free<T: DevValue>(&mut self, p: DPtr<T>) {
         self.mem.free(p);
-        self.snap = self.mem.snapshot();
-        self.cache_id = u32::MAX;
-        self.cache_seg = None;
+        self.segs.remove(&p.seg);
         if let Some(r) = self.arena_allocs.iter_mut().find(|r| r.seg == p.seg) {
             r.freed = true;
         }
@@ -681,6 +650,12 @@ impl<'g> GlobalView<'g> {
     /// reads these for cross-team race analysis).
     pub fn fallback_ranges(&self) -> &[FallbackRange] {
         &self.arena_allocs
+    }
+
+    /// Segments this view currently memoizes.
+    #[cfg(test)]
+    fn memo_len(&self) -> usize {
+        self.segs.len()
     }
 }
 
@@ -763,6 +738,86 @@ mod tests {
         assert_eq!(view.read(p, 0), 0.0); // caches the snapshot
         g.free(p);
         view.read(p, 0); // stale snapshot, but the alive flag is shared
+    }
+
+    #[test]
+    #[should_panic(expected = "use after free")]
+    fn freeing_view_sees_its_own_free() {
+        let g = GlobalMem::new();
+        let mut view = g.view(0);
+        let p = view.alloc_zeroed::<f64>(3);
+        view.write(p, 0, 1.0);
+        view.free(p);
+        view.read(p, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "use after free")]
+    fn stale_view_sees_another_views_free() {
+        let g = GlobalMem::new();
+        let mut owner = g.view(0);
+        let mut other = g.view(1);
+        let p = owner.alloc_zeroed::<u64>(3);
+        assert_eq!(other.read(p, 0), 0); // memoizes the segment
+        owner.free(p);
+        other.read(p, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "double free")]
+    fn view_double_free_is_detected() {
+        let g = GlobalMem::new();
+        let mut view = g.view(0);
+        let p = view.alloc_zeroed::<u64>(1);
+        view.free(p);
+        view.free(p);
+    }
+
+    #[test]
+    fn alloc_free_cycles_keep_lookups_correct() {
+        let g = GlobalMem::new();
+        let host = g.alloc_from(&[7u64, 8]);
+        let mut views: Vec<GlobalView<'_>> = (0..4).map(|b| g.view(b)).collect();
+        let mut keep = Vec::new();
+        for i in 0..10_000u64 {
+            let v = &mut views[(i % 4) as usize];
+            let p = v.alloc_zeroed::<u64>(2);
+            v.write(p, 1, i);
+            assert_eq!(v.read(p, 1), i);
+            assert_eq!(v.read(host, i % 2), 7 + i % 2);
+            if i % 1000 == 0 {
+                keep.push((p, i)); // survives, readable from every view
+            } else {
+                v.free(p);
+            }
+        }
+        for v in &mut views {
+            for &(p, i) in &keep {
+                assert_eq!(v.read(p, 1), i);
+            }
+        }
+        assert_eq!(g.live_bytes(), 16 + keep.len() as u64 * 16);
+        assert_eq!(g.alloc_count(), 10_001);
+    }
+
+    #[test]
+    fn view_memo_is_bounded_by_its_working_set() {
+        let g = GlobalMem::new();
+        let host: Vec<DPtr<f64>> = (0..3).map(|_| g.alloc_zeroed::<f64>(4)).collect();
+        let mut churn = g.view(0);
+        for _ in 0..10_000 {
+            let p = churn.alloc_zeroed::<u64>(1);
+            churn.write(p, 0, 1);
+            churn.free(p);
+        }
+        assert_eq!(churn.memo_len(), 0, "freed segments leave the freeing view's memo");
+        let mut v = g.view(1);
+        for &p in &host {
+            v.read(p, 0);
+        }
+        let own = v.alloc_zeroed::<u64>(1);
+        v.read(own, 0);
+        assert_eq!(v.memo_len(), host.len() + 1);
     }
 
     #[test]

@@ -43,10 +43,10 @@ pub fn resolve_threads(override_threads: Option<usize>) -> usize {
 }
 
 /// Execute `f(block_id)` for every block id in `0..num_blocks` on up to
-/// `threads` host threads (spawned for this launch, joined before return)
-/// and hand back the results **sorted by block id** — callers merge them in
-/// block-index order, which is what keeps parallel launches bit-identical
-/// to serial ones.
+/// `threads` host threads (the caller plus helpers spawned for this
+/// launch, joined before return) and hand back the results **sorted by
+/// block id** — callers merge them in block-index order, which is what
+/// keeps parallel launches bit-identical to serial ones.
 ///
 /// Blocks are claimed from a shared atomic counter, so imbalanced blocks
 /// don't idle workers. With `threads <= 1` (or a single block) everything
@@ -62,23 +62,21 @@ where
     }
     let workers = threads.min(num_blocks as usize);
     let next = AtomicU32::new(0);
+    let claim = || {
+        let mut local = Vec::new();
+        loop {
+            let b = next.fetch_add(1, Ordering::Relaxed);
+            if b >= num_blocks {
+                break;
+            }
+            local.push((b, f(b)));
+        }
+        local
+    };
     let mut out: Vec<(u32, R)> = Vec::with_capacity(num_blocks as usize);
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let b = next.fetch_add(1, Ordering::Relaxed);
-                        if b >= num_blocks {
-                            break;
-                        }
-                        local.push((b, f(b)));
-                    }
-                    local
-                })
-            })
-            .collect();
+        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(claim)).collect();
+        out.extend(claim());
         for h in handles {
             match h.join() {
                 Ok(local) => out.extend(local),

@@ -308,3 +308,57 @@ fn cross_team_join_ignores_freed_fallbacks() {
         .unwrap();
     assert!(stats.violations.is_empty(), "{:?}", stats.violations);
 }
+
+/// Fallback-heavy launches keep growing the device's segment table (every
+/// free leaves a tombstone, and one leaked fallback per launch stays
+/// addressable). Relaunching on the same device must still reproduce the
+/// serial `LaunchStats` — violations included — bit for bit at any thread
+/// count.
+#[test]
+fn fallback_churn_is_deterministic_under_table_growth() {
+    const ROUNDS: u32 = 34;
+    let cfg = LaunchConfig { num_blocks: 12, threads_per_block: 64, smem_bytes: 256 };
+    let launch = |dev: &mut Device| {
+        dev.launch(&cfg, |team| {
+            let bid = team.block_id as u64;
+            for round in 0..ROUNDS {
+                let w = round % team.nwarps();
+                let n = 1 + (splitmix(bid ^ (u64::from(round) << 8)) % 24) as usize;
+                let p: DPtr<u64> = team.alloc_shared_fallback(w, n);
+                let lanes: Vec<u32> = (0..n.min(32) as u32).collect();
+                team.run_lanes(w, &lanes, move |lane, id| {
+                    let i = u64::from(id) % n as u64;
+                    lane.write(p, i, bid + u64::from(round));
+                    let v = lane.read(p, i);
+                    lane.work(1 + v % 7);
+                });
+                team.warp_sync(w);
+                if !(team.block_id == 5 && round == ROUNDS - 1) {
+                    team.free_shared_fallback(p);
+                }
+            }
+            team.block_barrier();
+        })
+        .unwrap()
+    };
+    let mut base: Option<LaunchStats> = None;
+    for threads in [1, 2, 4, 8] {
+        let mut dev = Device::new(DeviceArch::tiny());
+        dev.set_sim_threads(Some(threads));
+        dev.enable_sanitizer();
+        for relaunch in 0..3 {
+            let stats = launch(&mut dev);
+            assert_eq!(stats.counters.sharing_global_fallbacks, 12 * u64::from(ROUNDS));
+            assert_eq!(
+                stats.violations,
+                vec![Violation::LeakedFallback { block: 5, outstanding: 1 }],
+                "threads={threads} relaunch={relaunch}"
+            );
+            match &base {
+                None => base = Some(stats),
+                Some(b) => assert_eq!(&stats, b, "threads={threads} relaunch={relaunch}"),
+            }
+        }
+        assert_eq!(dev.global.alloc_count(), 3 * 12 * u64::from(ROUNDS));
+    }
+}

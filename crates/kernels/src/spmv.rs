@@ -299,4 +299,25 @@ mod tests {
         assert_eq!(y1, y2, "reset_y must make runs idempotent");
         assert_eq!(s1.cycles, s2.cycles, "simulation must be deterministic");
     }
+
+    /// Group size 2 overflows the sharing space, so every launch allocates
+    /// and frees global fallbacks (§5.3.1) and grows the device's segment
+    /// table. A second launch on the same device must repeat the first bit
+    /// for bit.
+    #[test]
+    fn gs2_fallback_runs_repeat_on_one_device() {
+        let (mat, x) = workload();
+        let mut dev = Device::a100();
+        let ops = SpmvDev::upload(&mut dev, &mat, &x);
+        let k = build_three_level(16, 128, 2);
+        let (y1, s1) = run(&mut dev, &k, &ops);
+        let (y2, s2) = run(&mut dev, &k, &ops);
+        assert!(s1.counters.sharing_global_fallbacks > 0, "gs 2 must spill to global memory");
+        assert!(close(&y1, &mat.spmv_ref(&x)));
+        assert_eq!(s1, s2, "LaunchStats must repeat across launches on one device");
+        assert_eq!(
+            y1.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            y2.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
+    }
 }
