@@ -612,25 +612,23 @@ impl CompiledKernel {
     /// run the lint gate — the escape hatch for deliberately-broken plans
     /// (negative tests, sanitizer demos).
     ///
-    /// Engine selection: the flat-bytecode executor by default,
-    /// `SIMT_SIM_ENGINE=tree` for the tree-walk interpreter, and
-    /// `SIMT_SIM_ORACLE=1` for differential mode — every launch runs both
-    /// engines and panics unless stats and memory images are bit-identical.
+    /// Engine selection: the flat-bytecode executor, or differential mode
+    /// under `SIMT_SIM_ORACLE=1` — every launch runs both engines and
+    /// panics unless stats and memory images are bit-identical. An explicit
+    /// engine choice goes through [`CompiledKernel::launch_with_engine`].
     pub fn launch(&self, dev: &mut Device, args: &[Slot]) -> Result<LaunchStats, LaunchError> {
         if std::env::var("SIMT_SIM_ORACLE").map(|v| v == "1").unwrap_or(false) {
             return self.launch_oracle(dev, args);
         }
-        let engine = match std::env::var("SIMT_SIM_ENGINE").as_deref() {
-            Ok("tree") => Engine::Tree,
-            _ => Engine::Bytecode,
-        };
-        self.launch_with_engine(dev, args, engine)
+        self.launch_with_engine(dev, args, Engine::Bytecode)
     }
 
     /// Launch with an explicit engine choice. The bytecode engine hands
-    /// sanitizer and event-trace launches to the tree walker — instrumented
-    /// runs are observation tools, not hot paths, and delegating keeps one
-    /// authoritative implementation of lane-granular instrumentation.
+    /// sanitizer and event-trace launches to the tree walker: it emits no
+    /// footprint, sharing-layout or barrier-arrival metadata, and it skips
+    /// idle lanes, which would change the traced super-step lane counts.
+    /// Both engines share one lane path (`TeamCtx::run_lanes`), so access
+    /// observation is the same code either way.
     pub fn launch_with_engine(
         &self,
         dev: &mut Device,

@@ -16,6 +16,13 @@
 //!   the addresses are **coalesced** together into 32-byte sectors;
 //! * atomic accesses to the same address within a super-step serialize.
 //!
+//! Every super-step — tree walker, bytecode engine and hand-written kernels
+//! alike — folds through one online accumulator ([`StepAcc`]): per-ordinal
+//! unique-sector sets and bank-conflict walks built while the lanes run,
+//! then one commit. The sanitizer and the event trace observe the same
+//! path: lanes report their accesses to an attached sanitizer inline, and
+//! the commit emits the super-step's trace event.
+//!
 //! Warp-level barriers, block-level barriers and direct runtime charges
 //! (state-machine posts, dispatch costs…) are explicit [`TeamCtx`] methods.
 
@@ -27,14 +34,6 @@ use crate::mem::ptr::{DPtr, Slot};
 use crate::mem::shared::{SharedMem, SmOff};
 use crate::stats::{BlockProfile, RtCounters};
 
-#[derive(Clone, Copy, Debug)]
-struct Access {
-    addr: u64,
-    bytes: u32,
-    atomic: bool,
-    write: bool,
-}
-
 /// How a lane touched a shared-memory slot (feeds the bank-conflict model
 /// and the sanitizer's race rules — atomics never race with each other).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -42,18 +41,6 @@ pub(crate) enum SmemKind {
     Read,
     Write,
     Atomic,
-}
-
-/// Per-lane cost trace captured while a lane program runs.
-#[derive(Default, Debug)]
-struct LaneTrace {
-    alu: u64,
-    smem_ops: u64,
-    /// Shared-memory slot indices with an access kind, in program order
-    /// (for bank-conflict analysis across lockstep lanes and the
-    /// sanitizer).
-    smem_slots: Vec<(u32, SmemKind)>,
-    accesses: Vec<Access>,
 }
 
 /// How an outlined-function dispatch reaches its target (§5.5): through the
@@ -83,55 +70,7 @@ pub struct ObservedEffects {
     pub global_atomics: bool,
 }
 
-impl LaneTrace {
-    fn clear(&mut self) {
-        self.alu = 0;
-        self.smem_ops = 0;
-        self.smem_slots.clear();
-        self.accesses.clear();
-    }
-}
-
-/// Where a [`Lane`]'s cost events go: the recording trace used by
-/// [`TeamCtx::run_lanes`] (kept byte-for-byte as before), or the online
-/// coalescing accumulator of the flat bytecode path, which computes the
-/// same per-super-step aggregates without materializing per-lane access
-/// lists.
-enum LaneSink<'a> {
-    Trace(&'a mut LaneTrace),
-    Flat(&'a mut FlatAcc),
-}
-
-impl LaneSink<'_> {
-    #[inline]
-    fn alu(&mut self, cycles: u64) {
-        match self {
-            LaneSink::Trace(t) => t.alu += cycles,
-            LaneSink::Flat(a) => a.lane_alu += cycles,
-        }
-    }
-
-    #[inline]
-    fn global(&mut self, addr: u64, bytes: u32, atomic: bool, write: bool) {
-        match self {
-            LaneSink::Trace(t) => t.accesses.push(Access { addr, bytes, atomic, write }),
-            LaneSink::Flat(a) => a.global(addr, bytes, atomic),
-        }
-    }
-
-    #[inline]
-    fn smem(&mut self, slot: u32, kind: SmemKind) {
-        match self {
-            LaneSink::Trace(t) => {
-                t.smem_ops += 1;
-                t.smem_slots.push((slot, kind));
-            }
-            LaneSink::Flat(a) => a.smem(slot),
-        }
-    }
-}
-
-/// One global-memory ordinal of the flat accumulator: the k-th access of
+/// One global-memory ordinal of the super-step accumulator: the k-th access of
 /// every lane in the super-step, reduced to its unique-sector set plus the
 /// atomic target addresses (kept with multiplicity for serialization).
 #[derive(Default)]
@@ -164,13 +103,7 @@ impl OrdAcc {
 /// access of every lane in a super-step), parameterized by the device's
 /// bank count ([`crate::arch::DeviceArch::smem_banks`]). Distinct slots
 /// landing in one bank serialize into wavefronts; same-slot accesses
-/// broadcast. This is the **single** implementation of the conflict walk —
-/// the trace path ([`TeamCtx::commit`]) and the flat path
-/// ([`TeamCtx::run_lanes_flat`]) both fold through it, which is what keeps
-/// their wavefront counts bit-identical by construction. (The old code
-/// duplicated the walk in three places over hard-coded `[_; 32]` arrays,
-/// folding wave64 archs into a 32-bank hash, and capped the per-bank depth
-/// at 255 via a `u8` `saturating_add`.)
+/// broadcast.
 #[derive(Clone, Debug, Default)]
 pub struct BankAcc {
     /// Last slot seen per bank (`u32::MAX` = none) — the broadcast filter.
@@ -219,11 +152,11 @@ impl BankAcc {
     }
 }
 
-/// Super-step accumulator for [`TeamCtx::run_lanes_flat`]: per-ordinal
-/// coalescing state plus running per-lane cursors, producing exactly the
-/// aggregates [`TeamCtx::commit`] derives from the recorded traces.
+/// Super-step accumulator for [`TeamCtx::run_lanes`]: per-ordinal
+/// coalescing state plus running per-lane cursors, folded online as the
+/// lanes run so no per-lane access list is ever materialized.
 #[derive(Default)]
-struct FlatAcc {
+struct StepAcc {
     ords: Vec<OrdAcc>,
     smem_ords: Vec<BankAcc>,
     max_alu: u64,
@@ -234,14 +167,15 @@ struct FlatAcc {
     lane_smem_ops: u64,
     lane_ord: usize,
     lane_smem_ord: usize,
-    /// `log2(sector_bytes)` — the flat path requires a power-of-two sector.
+    /// `log2(sector_bytes)` ([`TeamCtx::new`] requires a power-of-two
+    /// sector).
     sector_shift: u32,
     /// Shared-memory bank count new ordinal accumulators are sized to
     /// ([`crate::arch::DeviceArch::smem_banks`]).
     smem_banks: u32,
 }
 
-impl FlatAcc {
+impl StepAcc {
     /// Prepare for a new super-step: clear the ordinals the previous step
     /// used (untouched entries are already clear) and reset the maxima.
     fn reset(&mut self, sector_shift: u32, smem_banks: u32) {
@@ -385,26 +319,76 @@ impl VisitLog {
     }
 }
 
+/// The sanitizer's view of one running lane: every shared-memory and
+/// global access is recorded inline, in program order, against global
+/// thread id `tid`. Kept out of line so the unsanitized access path stays
+/// one untaken branch.
+struct LaneObserver<'a> {
+    san: &'a mut crate::sanitize::Sanitizer,
+    tid: u32,
+    observed: &'a mut ObservedEffects,
+}
+
+impl LaneObserver<'_> {
+    #[cold]
+    #[inline(never)]
+    fn global(&mut self, addr: u64, atomic: bool, write: bool) {
+        if atomic {
+            self.observed.global_atomics = true;
+        } else if write {
+            self.observed.global_writes = true;
+        }
+        self.san.record_global_access(self.tid, addr, write);
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn smem(&mut self, slot: u32, kind: SmemKind) {
+        match kind {
+            SmemKind::Read => self.san.record_smem(self.tid, slot, false),
+            SmemKind::Write => self.san.record_smem(self.tid, slot, true),
+            SmemKind::Atomic => self.san.record_smem_atomic(self.tid, slot),
+        }
+    }
+}
+
 /// Execution context handed to a per-lane program: typed access to global
 /// and shared memory, with every operation recorded for cost accounting.
 pub struct Lane<'a, 'g> {
     global: &'a mut GlobalView<'g>,
     smem: &'a mut SharedMem,
-    sink: LaneSink<'a>,
+    acc: &'a mut StepAcc,
+    observer: Option<LaneObserver<'a>>,
 }
 
 impl<'a, 'g> Lane<'a, 'g> {
+    #[inline]
+    fn global_access(&mut self, addr: u64, bytes: u32, atomic: bool, write: bool) {
+        self.acc.global(addr, bytes, atomic);
+        if let Some(o) = &mut self.observer {
+            o.global(addr, atomic, write);
+        }
+    }
+
+    #[inline]
+    fn smem_access(&mut self, slot: u32, kind: SmemKind) {
+        self.acc.smem(slot);
+        if let Some(o) = &mut self.observer {
+            o.smem(slot, kind);
+        }
+    }
+
     /// Charge `cycles` of ALU work.
     #[inline]
     pub fn work(&mut self, cycles: u64) {
-        self.sink.alu(cycles);
+        self.acc.lane_alu += cycles;
     }
 
     /// Load element `idx` relative to `p` from global memory.
     #[inline]
     pub fn read<T: DevValue>(&mut self, p: DPtr<T>, idx: u64) -> T {
         let (addr, v) = self.global.read_at(p, idx);
-        self.sink.global(addr, std::mem::size_of::<T>() as u32, false, false);
+        self.global_access(addr, std::mem::size_of::<T>() as u32, false, false);
         v
     }
 
@@ -412,7 +396,7 @@ impl<'a, 'g> Lane<'a, 'g> {
     #[inline]
     pub fn write<T: DevValue>(&mut self, p: DPtr<T>, idx: u64, v: T) {
         let addr = self.global.write_at(p, idx, v);
-        self.sink.global(addr, std::mem::size_of::<T>() as u32, false, true);
+        self.global_access(addr, std::mem::size_of::<T>() as u32, false, true);
     }
 
     /// Atomic `fetch_add` on an `f64` in global memory; returns the old
@@ -421,7 +405,7 @@ impl<'a, 'g> Lane<'a, 'g> {
     #[inline]
     pub fn atomic_add_f64(&mut self, p: DPtr<f64>, idx: u64, v: f64) -> f64 {
         let (addr, old) = self.global.atomic_add_f64_at(p, idx, v);
-        self.sink.global(addr, 8, true, true);
+        self.global_access(addr, 8, true, true);
         old
     }
 
@@ -429,35 +413,35 @@ impl<'a, 'g> Lane<'a, 'g> {
     #[inline]
     pub fn atomic_add_u64(&mut self, p: DPtr<u64>, idx: u64, v: u64) -> u64 {
         let (addr, old) = self.global.atomic_add_u64_at(p, idx, v);
-        self.sink.global(addr, 8, true, true);
+        self.global_access(addr, 8, true, true);
         old
     }
 
     /// Read an 8-byte slot from shared memory.
     #[inline]
     pub fn smem_read_slot(&mut self, off: SmOff, idx: u32) -> Slot {
-        self.sink.smem(off.0 + idx, SmemKind::Read);
+        self.smem_access(off.0 + idx, SmemKind::Read);
         self.smem.read_slot(off, idx)
     }
 
     /// Write an 8-byte slot to shared memory.
     #[inline]
     pub fn smem_write_slot(&mut self, off: SmOff, idx: u32, v: Slot) {
-        self.sink.smem(off.0 + idx, SmemKind::Write);
+        self.smem_access(off.0 + idx, SmemKind::Write);
         self.smem.write_slot(off, idx, v);
     }
 
     /// Read a shared-memory slot as `f64`.
     #[inline]
     pub fn smem_read_f64(&mut self, off: SmOff, idx: u32) -> f64 {
-        self.sink.smem(off.0 + idx, SmemKind::Read);
+        self.smem_access(off.0 + idx, SmemKind::Read);
         self.smem.read_f64(off, idx)
     }
 
     /// Write a shared-memory slot as `f64`.
     #[inline]
     pub fn smem_write_f64(&mut self, off: SmOff, idx: u32, v: f64) {
-        self.sink.smem(off.0 + idx, SmemKind::Write);
+        self.smem_access(off.0 + idx, SmemKind::Write);
         self.smem.write_f64(off, idx, v);
     }
 
@@ -467,7 +451,7 @@ impl<'a, 'g> Lane<'a, 'g> {
     /// is a protocol violation (simtcheck's atomic/plain rule).
     #[inline]
     pub fn smem_atomic_add_f64(&mut self, off: SmOff, idx: u32, v: f64) -> f64 {
-        self.sink.smem(off.0 + idx, SmemKind::Atomic);
+        self.smem_access(off.0 + idx, SmemKind::Atomic);
         let old = self.smem.read_f64(off, idx);
         self.smem.write_f64(off, idx, old + v);
         old
@@ -493,18 +477,12 @@ pub struct TeamCtx<'g> {
     warps: Vec<WarpState>,
     /// Runtime-behavior counters for this block.
     pub counters: RtCounters,
-    trace_pool: Vec<LaneTrace>,
-    scratch_sectors: Vec<u64>,
-    scratch_atomic: Vec<u64>,
     /// Per-block L1-missing sectors per L2 bank slice (length =
-    /// `arch.cache.l2_banks`), folded by both commit paths.
+    /// `arch.cache.l2_banks`).
     l2_bank_sectors: Vec<u64>,
     /// Line-visit log for the launch's deterministic first-touch replay.
     visits: VisitLog,
-    flat_acc: FlatAcc,
-    /// Reusable bank-conflict accumulator for the trace commit path, sized
-    /// to `arch.smem_banks` once at construction.
-    smem_bank_acc: BankAcc,
+    step_acc: StepAcc,
     event_trace: Option<crate::trace::Trace>,
     sanitizer: Option<Box<crate::sanitize::Sanitizer>>,
     observed: ObservedEffects,
@@ -513,6 +491,7 @@ pub struct TeamCtx<'g> {
 impl<'g> TeamCtx<'g> {
     /// Create a block context. `nwarps` is the number of warps in the block
     /// (including any extra runtime warp the caller decided to reserve).
+    /// The cost model's sector size must be a power of two.
     pub fn new(
         block_id: u32,
         num_blocks: u32,
@@ -523,6 +502,7 @@ impl<'g> TeamCtx<'g> {
         arch: &'g DeviceArch,
     ) -> TeamCtx<'g> {
         assert!(nwarps >= 1, "a block needs at least one warp");
+        assert!(cost.sector_bytes.is_power_of_two(), "sector size must be a power of two");
         TeamCtx {
             block_id,
             num_blocks,
@@ -533,13 +513,9 @@ impl<'g> TeamCtx<'g> {
             arch,
             warps: vec![WarpState::default(); nwarps as usize],
             counters: RtCounters::default(),
-            trace_pool: Vec::new(),
-            scratch_sectors: Vec::new(),
-            scratch_atomic: Vec::new(),
             l2_bank_sectors: vec![0; arch.cache.l2_banks as usize],
             visits: VisitLog::default(),
-            flat_acc: FlatAcc::default(),
-            smem_bank_acc: BankAcc::new(arch.smem_banks),
+            step_acc: StepAcc::default(),
             event_trace: None,
             sanitizer: None,
             observed: ObservedEffects::default(),
@@ -647,225 +623,36 @@ impl<'g> TeamCtx<'g> {
         if lanes.is_empty() {
             return;
         }
-        while self.trace_pool.len() < lanes.len() {
-            self.trace_pool.push(LaneTrace::default());
-        }
-        for (i, &lane_id) in lanes.iter().enumerate() {
-            debug_assert!(lane_id < self.arch.warp_size);
-            let trace = &mut self.trace_pool[i];
-            trace.clear();
-            let mut lane = Lane {
-                global: &mut self.gview,
-                smem: &mut self.smem,
-                sink: LaneSink::Trace(trace),
-            };
-            f(&mut lane, lane_id);
-        }
-        if let Some(mut san) = self.sanitizer.take() {
-            for (i, &lane_id) in lanes.iter().enumerate() {
-                let tid = warp * self.arch.warp_size + lane_id;
-                for &(slot, kind) in &self.trace_pool[i].smem_slots {
-                    match kind {
-                        SmemKind::Read => san.record_smem(tid, slot, false),
-                        SmemKind::Write => san.record_smem(tid, slot, true),
-                        SmemKind::Atomic => san.record_smem_atomic(tid, slot),
-                    }
-                }
-                for a in &self.trace_pool[i].accesses {
-                    if a.atomic {
-                        self.observed.global_atomics = true;
-                    } else if a.write {
-                        self.observed.global_writes = true;
-                    }
-                    san.record_global_access(tid, a.addr, a.write);
-                }
-            }
-            self.sanitizer = Some(san);
-        }
-        self.commit(warp, lanes.len());
-    }
-
-    /// [`run_lanes`] for the flat bytecode executor: identical lockstep cost
-    /// semantics, but coalescing aggregates are folded online into a
-    /// per-ordinal accumulator instead of materializing per-lane access
-    /// lists, skipping the trace/commit machinery entirely.
-    ///
-    /// Delegates to [`run_lanes`] whenever exact trace capture is needed —
-    /// sanitizer attached, event trace active, or a cost model whose sector
-    /// size is not a power of two — so the fast path never has to replicate
-    /// those observers.
-    ///
-    /// [`run_lanes`]: TeamCtx::run_lanes
-    pub fn run_lanes_flat<F>(&mut self, warp: u32, lanes: &[u32], mut f: F)
-    where
-        F: FnMut(&mut Lane<'_, '_>, u32),
-    {
-        if self.sanitizer.is_some()
-            || self.event_trace.is_some()
-            || !self.cost.sector_bytes.is_power_of_two()
-        {
-            return self.run_lanes(warp, lanes, f);
-        }
-        assert!(warp < self.nwarps, "warp {warp} out of range");
-        if lanes.is_empty() {
-            return;
-        }
         let shift = self.cost.sector_bytes.trailing_zeros();
-        self.flat_acc.reset(shift, self.arch.smem_banks);
+        self.step_acc.reset(shift, self.arch.smem_banks);
         for &lane_id in lanes {
             debug_assert!(lane_id < self.arch.warp_size);
-            self.flat_acc.begin_lane();
+            self.step_acc.begin_lane();
             let mut lane = Lane {
                 global: &mut self.gview,
                 smem: &mut self.smem,
-                sink: LaneSink::Flat(&mut self.flat_acc),
+                acc: &mut self.step_acc,
+                observer: self.sanitizer.as_deref_mut().map(|san| LaneObserver {
+                    san,
+                    tid: warp * self.arch.warp_size + lane_id,
+                    observed: &mut self.observed,
+                }),
             };
             f(&mut lane, lane_id);
-            self.flat_acc.end_lane();
+            self.step_acc.end_lane();
         }
-        self.commit_flat(warp);
+        self.commit(warp, lanes.len() as u32);
     }
 
-    /// Merge the first `n` traces of the pool into `warp`'s accounting.
-    fn commit(&mut self, warp: u32, n: usize) {
+    /// Fold the super-step [`StepAcc`] gathered into `warp`'s accounting
+    /// (and the event trace, when one is attached).
+    fn commit(&mut self, warp: u32, nlanes: u32) {
         let cost = self.cost;
-        let mut scratch_sectors = std::mem::take(&mut self.scratch_sectors);
-        let mut scratch_atomic = std::mem::take(&mut self.scratch_atomic);
-        let traces = &self.trace_pool[..n];
-
-        let max_alu = traces.iter().map(|t| t.alu).max().unwrap_or(0);
-        let max_smem = traces.iter().map(|t| t.smem_ops).max().unwrap_or(0);
-        let max_ord = traces.iter().map(|t| t.accesses.len()).max().unwrap_or(0);
+        let mut acc = std::mem::take(&mut self.step_acc);
 
         // Shared memory: the k-th smem access of all lanes is one
-        // instruction; distinct slots landing in the same bank (of the
-        // arch's `smem_banks`) serialize into wavefronts, same-slot
-        // accesses broadcast — the [`BankAcc`] walk, shared with the flat
-        // path.
-        let max_smem_ord = traces.iter().map(|t| t.smem_slots.len()).max().unwrap_or(0);
-        let mut bank_acc = std::mem::take(&mut self.smem_bank_acc);
-        let mut smem_wavefronts = 0u64;
-        for k in 0..max_smem_ord {
-            bank_acc.clear();
-            for t in traces {
-                let Some(&(slot, _)) = t.smem_slots.get(k) else { continue };
-                bank_acc.visit(slot);
-            }
-            smem_wavefronts += bank_acc.worst().max(1) as u64;
-        }
-        self.smem_bank_acc = bank_acc;
-
-        let mut clock_add = max_alu + smem_wavefronts * cost.smem_cycles;
-        let mut issue_add = clock_add;
-        let mut sectors_add = 0u64;
-        let mut hits_add = 0u64;
-        let mut dram_add = 0u64;
-        let mut lines_add = 0u64;
-        let mut tx_add = 0u64;
-        let mut full_hits_add = 0u64;
-        let mut lsu_add = 0u64;
-        // Lazily initialize this warp's L1 window (4-way set associative,
-        // line-granular tags).
-        if self.warps[warp as usize].l1.is_empty() && cost.l1_lines >= 4 {
-            self.warps[warp as usize].l1 = vec![u64::MAX; cost.l1_lines as usize];
-            self.warps[warp as usize].l1_age = vec![0; cost.l1_lines as usize];
-            self.warps[warp as usize].l1_mask = vec![0; cost.l1_lines as usize];
-        }
-        let mut l1 = std::mem::take(&mut self.warps[warp as usize].l1);
-        let mut l1_age = std::mem::take(&mut self.warps[warp as usize].l1_age);
-        let mut l1_mask = std::mem::take(&mut self.warps[warp as usize].l1_mask);
-        let mut banks = std::mem::take(&mut self.l2_bank_sectors);
-        let mut visits = std::mem::take(&mut self.visits);
-        let nsets = l1.len() / 4;
-
-        let spl = (cost.line_bytes / cost.sector_bytes).max(1) as u64;
-        for k in 0..max_ord {
-            scratch_sectors.clear();
-            scratch_atomic.clear();
-            let mut any = false;
-            for t in traces {
-                let Some(a) = t.accesses.get(k) else { continue };
-                any = true;
-                let sb = cost.sector_bytes as u64;
-                let first = a.addr / sb;
-                let last = (a.addr + a.bytes as u64 - 1) / sb;
-                for s in first..=last {
-                    scratch_sectors.push(s);
-                }
-                if a.atomic {
-                    scratch_atomic.push(a.addr);
-                }
-            }
-            if !any {
-                continue;
-            }
-            scratch_sectors.sort_unstable();
-            scratch_sectors.dedup();
-            let (lines, sectors, hits, full) = line_walk(
-                &scratch_sectors,
-                spl,
-                nsets,
-                &mut l1,
-                &mut l1_age,
-                &mut l1_mask,
-                &self.gview,
-                &mut dram_add,
-                &mut visits,
-                &mut banks,
-            );
-            let misses = sectors;
-            let tx = lines * cost.line_cycles + sectors * cost.sector_cycles;
-            let c = tx + atomic_serialize_cycles(&mut scratch_atomic, cost);
-            issue_add += c;
-            clock_add += c + if misses > 0 { cost.exposed_latency } else { 0 };
-            sectors_add += sectors;
-            hits_add += hits;
-            lines_add += lines;
-            tx_add += hit_replay_offload(hits, full, cost);
-            full_hits_add += full;
-            lsu_add += scratch_sectors.len() as u64;
-        }
-
-        self.scratch_sectors = scratch_sectors;
-        self.scratch_atomic = scratch_atomic;
-        self.l2_bank_sectors = banks;
-        self.visits = visits;
-        if let Some(t) = &mut self.event_trace {
-            t.push(crate::trace::TraceEvent::SuperStep {
-                block: self.block_id,
-                warp,
-                lanes: n as u32,
-                issue: issue_add,
-                lines: lines_add,
-            });
-        }
-        let w = &mut self.warps[warp as usize];
-        w.l1 = l1;
-        w.l1_age = l1_age;
-        w.l1_mask = l1_mask;
-        w.clock += clock_add;
-        w.issue += issue_add;
-        w.sectors += sectors_add;
-        w.dram_sectors += dram_add;
-        w.smem_ops += max_smem;
-        w.l1_hits += hits_add;
-        w.tx += tx_add;
-        w.full_hits += full_hits_add;
-        w.lsu_sectors += lsu_add;
-        let _ = max_smem;
-    }
-
-    /// [`commit`]-equivalent for the flat accumulator: derives the exact
-    /// same per-super-step charges from [`FlatAcc`]'s pre-coalesced state.
-    /// No event-trace branch — [`run_lanes_flat`] delegates to the trace
-    /// path whenever a trace or sanitizer is attached.
-    ///
-    /// [`commit`]: TeamCtx::commit
-    /// [`run_lanes_flat`]: TeamCtx::run_lanes_flat
-    fn commit_flat(&mut self, warp: u32) {
-        let cost = self.cost;
-        let mut acc = std::mem::take(&mut self.flat_acc);
-
+        // instruction; its wavefronts are the deepest bank's [`BankAcc`]
+        // count.
         let mut smem_wavefronts = 0u64;
         for s in &acc.smem_ords[..acc.max_smem_ord] {
             smem_wavefronts += s.worst().max(1) as u64;
@@ -876,9 +663,12 @@ impl<'g> TeamCtx<'g> {
         let mut sectors_add = 0u64;
         let mut hits_add = 0u64;
         let mut dram_add = 0u64;
+        let mut lines_add = 0u64;
         let mut tx_add = 0u64;
         let mut full_hits_add = 0u64;
         let mut lsu_add = 0u64;
+        // Lazily initialize this warp's L1 window (4-way set associative,
+        // line-granular tags).
         if self.warps[warp as usize].l1.is_empty() && cost.l1_lines >= 4 {
             self.warps[warp as usize].l1 = vec![u64::MAX; cost.l1_lines as usize];
             self.warps[warp as usize].l1_age = vec![0; cost.l1_lines as usize];
@@ -919,11 +709,21 @@ impl<'g> TeamCtx<'g> {
             clock_add += c + if misses > 0 { cost.exposed_latency } else { 0 };
             sectors_add += sectors;
             hits_add += hits;
+            lines_add += lines;
             tx_add += hit_replay_offload(hits, full, cost);
             full_hits_add += full;
             lsu_add += o.sectors.len() as u64;
         }
 
+        if let Some(t) = &mut self.event_trace {
+            t.push(crate::trace::TraceEvent::SuperStep {
+                block: self.block_id,
+                warp,
+                lanes: nlanes,
+                issue: issue_add,
+                lines: lines_add,
+            });
+        }
         let w = &mut self.warps[warp as usize];
         w.l1 = l1;
         w.l1_age = l1_age;
@@ -939,7 +739,7 @@ impl<'g> TeamCtx<'g> {
         w.lsu_sectors += lsu_add;
         self.l2_bank_sectors = banks;
         self.visits = visits;
-        self.flat_acc = acc;
+        self.step_acc = acc;
     }
 
     /// Charge plain ALU cycles to a warp (runtime-internal work).
@@ -1149,8 +949,7 @@ impl<'g> TeamCtx<'g> {
 /// resident), and all but one `sector_cycles` beat for a partial-line hit
 /// — its sector drains off the in-flight fill buffer at sector cost on
 /// the issue path, while the fill's bandwidth cost is carried by the DRAM
-/// burst wall. Both engines bank this identically (it is pure arithmetic
-/// over `line_walk`'s counts), so the oracle contract extends to it.
+/// burst wall.
 #[inline]
 fn hit_replay_offload(hits: u64, full_hits: u64, cost: &CostModel) -> u64 {
     let partial = hits - full_hits;
@@ -1177,10 +976,8 @@ pub(crate) fn burst_atoms(mask: u8) -> u64 {
 /// records the visit in `visits` for the launch's deterministic
 /// burst-atom replay (see [`VisitLog`]), and attributes every L1-missing
 /// sector to its L2 bank slice in `banks` (no-op when `banks` is empty).
-///
-/// Shared by [`TeamCtx::commit`] and [`TeamCtx::commit_flat`] so the two
-/// execution engines agree on the memory model by construction — including
-/// the LRU victim rule (*last* max-age way wins ties, per `max_by_key`).
+/// The LRU victim rule: the *last* max-age way wins ties (per
+/// `max_by_key`).
 #[allow(clippy::too_many_arguments)]
 fn line_walk(
     sectors: &[u64],
@@ -1514,38 +1311,42 @@ mod tests {
         assert_eq!(t.warp_clock(0), 0);
     }
 
-    /// Run the same lane program through `run_lanes` and `run_lanes_flat`
-    /// on identical fresh contexts and assert the profiles match exactly.
-    fn assert_flat_matches<F>(nwarps: u32, steps: &[(u32, Vec<u32>)], build: F)
+    /// Run `steps` of one lane program on a fresh block context. Returns
+    /// the block profile with its L2 bank counts split off as the nonzero
+    /// `(bank, sectors)` entries. Lane programs touch no runtime counter.
+    fn profile_of<F>(
+        nwarps: u32,
+        steps: &[(u32, Vec<u32>)],
+        build: F,
+    ) -> (BlockProfile, Vec<(usize, u64)>)
     where
         F: Fn(&GlobalMem) -> Box<dyn Fn(&mut Lane<'_, '_>, u32)>,
     {
         let c = CostModel::default();
         let a = DeviceArch::a100();
-        let run = |flat: bool| {
-            let g = GlobalMem::new();
-            let f = build(&g);
-            let mut t = TeamCtx::new(0, 1, nwarps, 4096, &g, &c, &a);
-            let _ = t.smem.alloc(512);
-            for (warp, lanes) in steps {
-                if flat {
-                    t.run_lanes_flat(*warp, lanes, |lane, id| f(lane, id));
-                } else {
-                    t.run_lanes(*warp, lanes, |lane, id| f(lane, id));
-                }
-            }
-            t.finish(nwarps * 32, 4096)
-        };
-        let (tree, tc) = run(false);
-        let (flat, fc) = run(true);
-        assert_eq!(tree, flat, "profiles diverged");
-        assert_eq!(tc, fc, "counters diverged");
+        let g = GlobalMem::new();
+        let f = build(&g);
+        let mut t = TeamCtx::new(0, 1, nwarps, 4096, &g, &c, &a);
+        let _ = t.smem.alloc(512);
+        for (warp, lanes) in steps {
+            t.run_lanes(*warp, lanes, |lane, id| f(lane, id));
+        }
+        let (mut prof, counters) = t.finish(nwarps * 32, 4096);
+        assert_eq!(counters, RtCounters::default());
+        assert_eq!(prof.l2_bank_sectors.len(), a.cache.l2_banks as usize);
+        let banks = prof.l2_bank_sectors.iter().copied().enumerate().filter(|&(_, n)| n != 0);
+        let banks = banks.collect();
+        prof.l2_bank_sectors.clear();
+        (prof, banks)
     }
 
+    // The pinned values of the `lane_costs_*` tests are exact: a change to
+    // any of them is a cost-model change.
+
     #[test]
-    fn flat_matches_tree_on_mixed_access_patterns() {
+    fn lane_costs_on_mixed_access_patterns() {
         // Coalesced + strided + ragged lane participation + multi-ordinal.
-        assert_flat_matches(2, &[(0, (0..32).collect()), (1, (0..7).collect())], |g| {
+        let (prof, banks) = profile_of(2, &[(0, (0..32).collect()), (1, (0..7).collect())], |g| {
             let p = g.alloc_zeroed::<f64>(4096);
             Box::new(move |lane, id| {
                 lane.work(3 + id as u64 % 5);
@@ -1556,23 +1357,64 @@ mod tests {
                 }
             })
         });
+        let want = BlockProfile {
+            cycles: 245,
+            issue: 290,
+            sectors: 54,
+            l1_hits: 2,
+            l1_full_hits: 2,
+            dram_sectors: 44,
+            tx_cycles: 12,
+            lsu_sectors: 59,
+            resid_cycles: 233,
+            threads: 64,
+            smem_bytes: 4096,
+            ..Default::default()
+        };
+        assert_eq!(prof, want);
+        #[rustfmt::skip]
+        let want = [
+            (1, 1), (2, 3), (3, 2), (4, 1), (5, 2), (6, 1), (7, 2), (8, 2), (9, 1), (10, 3),
+            (11, 2), (12, 2), (13, 1), (14, 2), (16, 2), (17, 2), (21, 1), (22, 1), (23, 3),
+            (24, 2), (25, 1), (26, 2), (27, 1), (28, 1), (30, 1), (31, 1), (32, 2), (33, 1),
+            (35, 1), (36, 2), (37, 3), (38, 2),
+        ];
+        assert_eq!(banks, want);
     }
 
     #[test]
-    fn flat_matches_tree_on_unsorted_and_duplicate_sectors() {
+    fn lane_costs_on_unsorted_and_duplicate_sectors() {
         // Descending addresses force the sort path; shared sectors dedup.
-        assert_flat_matches(1, &[(0, (0..16).collect())], |g| {
+        let (prof, banks) = profile_of(1, &[(0, (0..16).collect())], |g| {
             let p = g.alloc_zeroed::<f64>(1024);
             Box::new(move |lane, id| {
                 lane.read(p, 600 - id as u64 * 16); // descending, unsorted
                 lane.read(p, (id as u64 / 4) * 4); // 4 lanes share a sector
             })
         });
+        let want = BlockProfile {
+            cycles: 154,
+            issue: 142,
+            sectors: 20,
+            dram_sectors: 20,
+            lsu_sectors: 20,
+            resid_cycles: 154,
+            threads: 32,
+            smem_bytes: 4096,
+            ..Default::default()
+        };
+        assert_eq!(prof, want);
+        #[rustfmt::skip]
+        let want = [
+            (1, 2), (5, 2), (9, 1), (10, 1), (13, 2), (16, 1), (17, 2), (21, 2), (23, 1),
+            (25, 2), (29, 1), (33, 1), (37, 2),
+        ];
+        assert_eq!(banks, want);
     }
 
     #[test]
-    fn flat_matches_tree_on_atomics() {
-        assert_flat_matches(1, &[(0, (0..8).collect()), (0, (0..8).collect())], |g| {
+    fn lane_costs_on_atomics() {
+        let (prof, banks) = profile_of(1, &[(0, (0..8).collect()), (0, (0..8).collect())], |g| {
             let p = g.alloc_zeroed::<f64>(64);
             let u = g.alloc_zeroed::<u64>(64);
             Box::new(move |lane, id| {
@@ -1580,12 +1422,26 @@ mod tests {
                 lane.atomic_add_u64(u, id as u64 % 3, 1); // partial conflict
             })
         });
+        let want = BlockProfile {
+            cycles: 352,
+            issue: 340,
+            sectors: 2,
+            l1_hits: 2,
+            dram_sectors: 2,
+            tx_cycles: 8,
+            lsu_sectors: 4,
+            resid_cycles: 344,
+            threads: 32,
+            smem_bytes: 4096,
+            ..Default::default()
+        };
+        assert_eq!(prof, want);
+        assert_eq!(banks, [(7, 1), (23, 1)]);
     }
 
     #[test]
-    fn flat_matches_tree_on_smem_bank_conflicts() {
-        assert_flat_matches(1, &[(0, (0..32).collect())], |g| {
-            let _ = g;
+    fn lane_costs_on_smem_bank_conflicts() {
+        let (prof, banks) = profile_of(1, &[(0, (0..32).collect())], |_| {
             Box::new(move |lane, id| {
                 let off = SmOff(0);
                 lane.smem_write_f64(off, id * 2, id as f64); // 2-way conflict
@@ -1595,13 +1451,24 @@ mod tests {
                 }
             })
         });
+        let want = BlockProfile {
+            cycles: 8,
+            issue: 8,
+            smem_ops: 3,
+            resid_cycles: 8,
+            threads: 32,
+            smem_bytes: 4096,
+            ..Default::default()
+        };
+        assert_eq!(prof, want);
+        assert_eq!(banks, []);
     }
 
     #[test]
-    fn flat_matches_tree_on_l1_reuse() {
+    fn lane_costs_on_l1_reuse() {
         // Re-reading the same block of memory exercises tag hits, sectored
-        // validity masks, and LRU aging identically in both engines.
-        assert_flat_matches(1, &[(0, (0..32).collect()), (0, (0..32).collect())], |g| {
+        // validity masks, and LRU aging.
+        let (prof, banks) = profile_of(1, &[(0, (0..32).collect()), (0, (0..32).collect())], |g| {
             let p = g.alloc_zeroed::<f64>(8192);
             Box::new(move |lane, id| {
                 for rep in 0..4u64 {
@@ -1610,20 +1477,65 @@ mod tests {
                 lane.read(p, 4096 + id as u64 * 113 % 3800);
             })
         });
+        let want = BlockProfile {
+            cycles: 614,
+            issue: 584,
+            sectors: 52,
+            l1_hits: 43,
+            l1_full_hits: 11,
+            dram_sectors: 52,
+            tx_cycles: 194,
+            lsu_sectors: 128,
+            resid_cycles: 420,
+            threads: 32,
+            smem_bytes: 4096,
+            ..Default::default()
+        };
+        assert_eq!(prof, want);
+        #[rustfmt::skip]
+        let want = [
+            (0, 1), (1, 2), (2, 2), (3, 2), (4, 2), (5, 2), (6, 1), (7, 1), (8, 2), (9, 1),
+            (10, 1), (14, 3), (15, 2), (16, 2), (17, 2), (18, 3), (19, 1), (20, 1), (21, 1),
+            (22, 1), (23, 1), (28, 3), (29, 2), (30, 2), (31, 2), (32, 2), (33, 2), (34, 2),
+            (35, 1), (36, 1), (37, 1),
+        ];
+        assert_eq!(banks, want);
     }
 
     #[test]
-    fn flat_delegates_under_sanitizer() {
-        // With a sanitizer attached the flat path must take the exact trace
-        // route (it is the only one that feeds the race rules).
-        let (g, c, a) = setup();
-        let p = g.alloc_zeroed::<f64>(64);
-        let mut t = TeamCtx::new(0, 1, 1, 4096, &g, &c, &a);
-        t.attach_sanitizer(Box::new(crate::sanitize::Sanitizer::new(0, 1, 32, 512)));
-        t.run_lanes_flat(0, &[0, 1], |lane, id| {
-            lane.write(p, id as u64, 1.0);
-        });
-        assert!(t.take_observed().global_writes, "sanitizer observers must still fire");
+    fn sanitizer_observes_without_perturbing_costs() {
+        // The sanitizer rides along on the one lane path: its observers
+        // fire, and the block profile is bit-identical to an unsanitized
+        // run of the same program.
+        let (c, a) = (CostModel::default(), DeviceArch::a100());
+        let run = |sanitize: bool| {
+            let g = GlobalMem::new();
+            let p = g.alloc_zeroed::<f64>(64);
+            let mut t = TeamCtx::new(0, 1, 1, 4096, &g, &c, &a);
+            let off = t.smem.alloc(64).unwrap();
+            if sanitize {
+                t.attach_sanitizer(Box::new(crate::sanitize::Sanitizer::new(0, 1, 32, 512)));
+            }
+            t.run_lanes(0, &[0, 1], |lane, id| {
+                lane.write(p, id as u64, 1.0);
+                lane.smem_write_f64(off, 0, id as f64); // unsynchronized: a race
+            });
+            t.run_lanes(0, &[0, 1], |lane, _| {
+                lane.atomic_add_f64(p, 8, 1.0);
+            });
+            let observed = t.take_observed();
+            let violations = t.detach_sanitizer().map(|s| s.finish()).unwrap_or_default();
+            (t.finish(32, 4096), observed, violations)
+        };
+        let (plain, plain_seen, _) = run(false);
+        let (checked, seen, violations) = run(true);
+        assert_eq!(plain_seen, ObservedEffects::default(), "nothing observed without a sanitizer");
+        assert_eq!(seen, ObservedEffects { global_writes: true, global_atomics: true });
+        assert!(
+            matches!(violations[..], [crate::sanitize::Violation::SharedMemRace { .. }]),
+            "the smem observer must see the race: {violations:?}"
+        );
+        assert_eq!(plain, checked, "the sanitizer must not change costs");
     }
 
     #[test]
@@ -1663,54 +1575,30 @@ mod tests {
         // mi100 models the LDS with one bank per wavefront lane, so a dense
         // 64-lane stride-1 shared-memory instruction costs a single
         // wavefront — the old hard-coded 32-bank fold double-charged it.
-        // Both engines must agree.
         let c = CostModel::default();
-        let run = |arch: &DeviceArch, flat: bool| {
+        let run = |arch: &DeviceArch| {
             let g = GlobalMem::new();
             let mut t = TeamCtx::new(0, 1, 1, 4096, &g, &c, arch);
             let off = t.smem.alloc(64 * 8).unwrap();
             let lanes: Vec<u32> = (0..arch.warp_size).collect();
-            let body = |lane: &mut Lane<'_, '_>, id: u32| {
+            t.run_lanes(0, &lanes, |lane, id| {
                 lane.smem_write_f64(off, id, id as f64);
-            };
-            if flat {
-                t.run_lanes_flat(0, &lanes, body);
-            } else {
-                t.run_lanes(0, &lanes, body);
-            }
+            });
             t.warp_clock(0)
         };
         let mi = DeviceArch::mi100();
-        assert_eq!(run(&mi, false), c.smem_cycles);
-        assert_eq!(run(&mi, true), c.smem_cycles);
+        assert_eq!(run(&mi), c.smem_cycles);
         // Folding the same access onto 32 banks serializes into 2 waves.
         let mut folded = DeviceArch::mi100();
         folded.smem_banks = 32;
-        assert_eq!(run(&folded, false), 2 * c.smem_cycles);
-        assert_eq!(run(&folded, true), 2 * c.smem_cycles);
+        assert_eq!(run(&folded), 2 * c.smem_cycles);
     }
 
     #[test]
-    fn flat_falls_back_on_non_pow2_sector() {
-        // A non-power-of-two sector size cannot use the flat path.
+    #[should_panic(expected = "sector size must be a power of two")]
+    fn non_pow2_sector_is_rejected() {
         let c = CostModel { sector_bytes: 24, ..Default::default() };
-        let a = DeviceArch::a100();
-        let run = |flat: bool| {
-            let g = GlobalMem::new();
-            let p = g.alloc_zeroed::<f64>(64);
-            let mut t = TeamCtx::new(0, 1, 1, 0, &g, &c, &a);
-            let lanes: Vec<u32> = (0..8).collect();
-            if flat {
-                t.run_lanes_flat(0, &lanes, |lane, id| {
-                    lane.read(p, id as u64);
-                });
-            } else {
-                t.run_lanes(0, &lanes, |lane, id| {
-                    lane.read(p, id as u64);
-                });
-            }
-            t.finish(32, 0).0
-        };
-        assert_eq!(run(false), run(true));
+        let (g, a) = (GlobalMem::new(), DeviceArch::a100());
+        let _ = TeamCtx::new(0, 1, 1, 0, &g, &c, &a);
     }
 }

@@ -94,7 +94,7 @@ pub struct Device {
     trace_cap: usize,
     sanitize_enabled: bool,
     /// Use the dense pre-compression sync table in the sanitizer (baseline
-    /// for the `simspeed` bench; also via `SIMT_SAN_DENSE=1`).
+    /// for the `simspeed` bench, reference for the differential tests).
     san_dense: bool,
     /// Block-execution thread count override; `None` = `SIMT_SIM_THREADS`
     /// env or available parallelism (see [`sched::resolve_threads`]).
@@ -112,8 +112,6 @@ impl Device {
         // sanitized without touching individual call sites.
         let sanitize_env =
             std::env::var("SIMT_SANITIZE").map(|v| !v.is_empty() && v != "0").unwrap_or(false);
-        let dense_env =
-            std::env::var("SIMT_SAN_DENSE").map(|v| !v.is_empty() && v != "0").unwrap_or(false);
         Device {
             arch,
             cost: CostModel::default(),
@@ -122,7 +120,7 @@ impl Device {
             trace_enabled: false,
             trace_cap: 0,
             sanitize_enabled: sanitize_env,
-            san_dense: dense_env,
+            san_dense: false,
             sim_threads: None,
             mem_model: None,
         }

@@ -155,6 +155,10 @@ pub mod mpmc {
         fn drop(&mut self) {
             if self.chan.senders.fetch_sub(1, std::sync::atomic::Ordering::SeqCst) == 1 {
                 // Last sender: wake all receivers so blocked `recv`s end.
+                // Notify under the queue lock: a receiver that saw a live
+                // sender holds it until it is parked in `wait`, so the
+                // wakeup cannot slip in between its check and its wait.
+                let _q = self.chan.queue.lock();
                 self.chan.cv.notify_all();
             }
         }

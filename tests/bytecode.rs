@@ -3,21 +3,34 @@
 //!
 //! Every case goes through [`CompiledKernel::launch_oracle`], which runs
 //! the tree walker, snapshots the memory image, rewinds, runs the bytecode
-//! engine, and asserts bit-identical [`LaunchStats`] (cycles, every runtime
-//! counter, sanitizer violations) and host-visible memory. The matrix
-//! covers every in-tree kernel and a seeded stream of random plans, each ×
-//! block-execution thread counts {1, 4} × sanitizer {off, on}.
+//! engine, and asserts bit-identical [`LaunchStats`] (cycles and every
+//! runtime counter) and host-visible memory. Sanitized and traced launches
+//! run the tree walker on both legs, so the engine comparison is the
+//! uninstrumented leg; the instrumented legs instead check that turning
+//! the sanitizer or the event trace on leaves [`LaunchStats`] unchanged
+//! apart from the sanitizer's findings. The matrix covers every in-tree
+//! kernel and a seeded stream of random plans, each × block-execution
+//! thread counts {1, 4} × instrumentation {off, sanitizer, event trace}.
 
 use simt_omp::codegen::CompiledKernel;
-use simt_omp::gpu::{Device, DeviceArch, Slot};
+use simt_omp::gpu::{Device, DeviceArch, LaunchStats, Slot};
 use simt_omp::kernels::harness::Fig10Variant;
 use simt_omp::kernels::matrix::{CsrMatrix, RowProfile};
 use simt_omp::kernels::plangen::{self, random_kernel};
 use simt_omp::kernels::{batched, ideal, laplace3d, muram, spmv, stencil2d, su3};
 use testkit::cases;
 
-/// Run one kernel through the oracle across the sim-thread / sanitizer
-/// matrix. `setup` uploads the workload and returns the argument payload.
+/// Instrumentation one leg of [`oracle_matrix`] turns on.
+#[derive(Clone, Copy, Debug)]
+enum Instrument {
+    Off,
+    Sanitizer,
+    Trace,
+}
+
+/// Run one kernel through the oracle across the sim-thread ×
+/// instrumentation matrix. `setup` uploads the workload and returns the
+/// argument payload.
 fn oracle_matrix(
     label: &str,
     k: &CompiledKernel,
@@ -25,15 +38,29 @@ fn oracle_matrix(
     mut setup: impl FnMut(&mut Device) -> Vec<Slot>,
 ) {
     for threads in [1usize, 4] {
-        for sanitize in [false, true] {
+        let mut uninstrumented: Option<LaunchStats> = None;
+        for instrument in [Instrument::Off, Instrument::Sanitizer, Instrument::Trace] {
             let mut dev = Device::new(arch.clone());
             dev.set_sim_threads(Some(threads));
-            if sanitize {
-                dev.enable_sanitizer();
+            match instrument {
+                Instrument::Off => {}
+                Instrument::Sanitizer => dev.enable_sanitizer(),
+                Instrument::Trace => dev.enable_trace(4096),
             }
             let args = setup(&mut dev);
-            k.launch_oracle(&mut dev, &args)
+            let mut stats = k
+                .launch_oracle(&mut dev, &args)
                 .unwrap_or_else(|e| panic!("{label} (threads={threads}): {e:?}"));
+            // Observers must not perturb costs: apart from the sanitizer's
+            // findings, every leg reads exactly the uninstrumented stats.
+            stats.violations.clear();
+            match &uninstrumented {
+                None => uninstrumented = Some(stats),
+                Some(off) => assert_eq!(
+                    &stats, off,
+                    "{label} (threads={threads}): {instrument:?} changed LaunchStats"
+                ),
+            }
         }
     }
 }
