@@ -16,7 +16,7 @@
 //!   and trip-count uniformity (see [`crate::analysis`]), with explicit
 //!   overrides for experiments.
 
-use gpu_sim::{Device, DeviceArch, LaunchError, LaunchStats, Slot};
+use gpu_sim::{Device, DeviceArch, LaunchError, LaunchStats, SimEnv, Slot};
 use omp_core::config::{ExecMode, KernelConfig, ParallelDesc};
 use omp_core::dispatch::{Footprint, Registry};
 use omp_core::exec::launch_target;
@@ -617,7 +617,7 @@ impl CompiledKernel {
     /// panics unless stats and memory images are bit-identical. An explicit
     /// engine choice goes through [`CompiledKernel::launch_with_engine`].
     pub fn launch(&self, dev: &mut Device, args: &[Slot]) -> Result<LaunchStats, LaunchError> {
-        if std::env::var("SIMT_SIM_ORACLE").map(|v| v == "1").unwrap_or(false) {
+        if SimEnv::get().oracle {
             return self.launch_oracle(dev, args);
         }
         self.launch_with_engine(dev, args, Engine::Bytecode)
@@ -825,8 +825,7 @@ impl CompiledKernel {
     /// gate), and panics on configuration errors (convenience for examples
     /// and benches).
     pub fn run(&self, dev: &mut Device, args: &[Slot]) -> LaunchStats {
-        let gate = std::env::var("SIMT_LINT").map(|v| v != "0").unwrap_or(true);
-        if gate {
+        if SimEnv::get().lint {
             let report = self.lint(&dev.arch, args.len());
             if report.has_errors() {
                 panic!(

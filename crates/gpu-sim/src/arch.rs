@@ -277,16 +277,13 @@ impl ArchRegistry {
     /// listing — a silently substituted architecture would invalidate
     /// every number a run produces.
     pub fn from_env() -> ArchId {
-        match std::env::var("SIMT_SIM_ARCH") {
-            Ok(v) if !v.is_empty() => Self::lookup(&v).unwrap_or_else(|| {
-                panic!(
-                    "SIMT_SIM_ARCH={v:?} names no registered architecture \
-                     (known: {})",
-                    Self::names().collect::<Vec<_>>().join(", ")
-                )
-            }),
-            _ => ArchId::A100,
-        }
+        crate::env::SimEnv::get().arch.as_ref().copied().unwrap_or_else(|v| {
+            panic!(
+                "SIMT_SIM_ARCH={v:?} names no registered architecture \
+                 (known: {})",
+                Self::names().collect::<Vec<_>>().join(", ")
+            )
+        })
     }
 }
 

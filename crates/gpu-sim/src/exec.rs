@@ -298,7 +298,7 @@ struct WarpState {
 /// keeps the log bounded by the block's distinct (line, sector) footprint.
 #[derive(Default)]
 pub(crate) struct VisitLog {
-    seen: std::collections::HashMap<u64, u8>,
+    seen: crate::mem::IntMap<u64, u8>,
     log: Vec<u64>,
 }
 

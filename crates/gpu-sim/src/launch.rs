@@ -107,11 +107,6 @@ pub struct Device {
 impl Device {
     /// Create a device with the default cost model.
     pub fn new(arch: DeviceArch) -> Device {
-        // `SIMT_SANITIZE=1` (or any non-empty value other than "0") turns
-        // simtcheck on for every device, so a whole test run can be
-        // sanitized without touching individual call sites.
-        let sanitize_env =
-            std::env::var("SIMT_SANITIZE").map(|v| !v.is_empty() && v != "0").unwrap_or(false);
         Device {
             arch,
             cost: CostModel::default(),
@@ -119,7 +114,10 @@ impl Device {
             trace: crate::trace::Trace::default(),
             trace_enabled: false,
             trace_cap: 0,
-            sanitize_enabled: sanitize_env,
+            // `SIMT_SANITIZE=1` (or any non-empty value other than "0")
+            // turns simtcheck on for every device, so a whole test run can
+            // be sanitized without touching individual call sites.
+            sanitize_enabled: crate::env::SimEnv::get().sanitize,
             san_dense: false,
             sim_threads: None,
             mem_model: None,
@@ -148,8 +146,8 @@ impl Device {
 
     /// Pin the memory cost model, overriding `SIMT_SIM_MEM`. `None`
     /// returns to environment/default resolution. Tests needing the
-    /// legacy flat model must use this rather than mutating the
-    /// environment (env mutation races under a parallel test harness).
+    /// legacy flat model must use this: the environment is read once per
+    /// process ([`crate::env::SimEnv`]).
     pub fn set_mem_model(&mut self, model: Option<MemModel>) {
         self.mem_model = model;
     }
@@ -309,7 +307,7 @@ impl Device {
         // sector is interleaving-dependent online, and the burst-atom
         // count is nonlinear in that grouping — replaying here reproduces
         // the `SIMT_SIM_THREADS=1` attribution at any thread count.
-        let mut touched: std::collections::HashMap<u64, u8> = std::collections::HashMap::new();
+        let mut touched: crate::mem::IntMap<u64, u8> = Default::default();
         for (p, visits) in profiles.iter_mut().zip(&visits_by_block) {
             let mut atoms = 0u64;
             for &packed in visits.entries() {

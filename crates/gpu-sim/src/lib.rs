@@ -37,6 +37,7 @@
 
 pub mod arch;
 pub mod cost;
+pub mod env;
 pub mod exec;
 pub mod launch;
 pub mod mask;
@@ -47,6 +48,7 @@ pub mod stats;
 pub mod trace;
 
 pub use arch::{ArchId, ArchRegistry, CacheGeom, DeviceArch, Vendor};
+pub use env::SimEnv;
 pub use exec::{BankAcc, DispatchKind, Lane, ObservedEffects, TeamCtx};
 pub use launch::{Device, LaunchConfig, LaunchError};
 pub use mask::LaneMask;

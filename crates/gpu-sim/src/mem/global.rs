@@ -35,13 +35,13 @@
 //! the parallel region.
 
 use std::any::TypeId;
-use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use super::pod::DevValue;
 use super::ptr::DPtr;
+use super::IntMap;
 
 /// Alignment of segment base addresses (also guarantees sector alignment).
 const SEG_ALIGN: u64 = 256;
@@ -480,27 +480,8 @@ impl FallbackRange {
     }
 }
 
-/// Hasher for segment ids: a Fibonacci multiply spreads the small dense
-/// ids over the whole hash word, at a fraction of SipHash's cost.
-#[derive(Default)]
-struct SegIdHasher(u64);
-
-impl Hasher for SegIdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("segment ids hash through write_u32")
-    }
-
-    fn write_u32(&mut self, id: u32) {
-        self.0 = u64::from(id).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
 /// A view's memo: the segments it has touched, by id.
-type SegMemo = HashMap<u32, Arc<Segment>, BuildHasherDefault<SegIdHasher>>;
+type SegMemo = IntMap<u32, Arc<Segment>>;
 
 /// A block's accessor to shared global memory: memoizes the segments the
 /// block touches (filled from the device table on a miss) and owns the

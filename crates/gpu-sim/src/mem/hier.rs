@@ -48,8 +48,8 @@ use crate::arch::CacheGeom;
 /// Environment variable selecting the memory model for new devices:
 /// `flat` for the legacy single-tier roofs, anything else (or unset) for
 /// the hierarchical model. [`crate::Device::set_mem_model`] overrides it
-/// per device (tests must use the override — env mutation is racy under
-/// a parallel test harness).
+/// per device (tests must use the override: the variable is read once
+/// per process, see [`crate::env::SimEnv`]).
 pub const MEM_MODEL_ENV: &str = "SIMT_SIM_MEM";
 
 /// Which memory cost model a device's makespan uses.
@@ -64,15 +64,10 @@ pub enum MemModel {
 }
 
 /// Resolve the memory model: an explicit per-device override wins, then
-/// [`MEM_MODEL_ENV`], then the hierarchical default.
+/// [`MEM_MODEL_ENV`] (read once, see [`crate::env::SimEnv`]), then the
+/// hierarchical default.
 pub fn resolve_mem_model(override_model: Option<MemModel>) -> MemModel {
-    if let Some(m) = override_model {
-        return m;
-    }
-    match std::env::var(MEM_MODEL_ENV) {
-        Ok(v) if v.trim().eq_ignore_ascii_case("flat") => MemModel::Flat,
-        _ => MemModel::Hier,
-    }
+    override_model.unwrap_or(crate::env::SimEnv::get().mem_model)
 }
 
 /// Coalesce one warp instruction's per-lane accesses into the unique,

@@ -27,19 +27,12 @@ pub const SIM_THREADS_ENV: &str = "SIMT_SIM_THREADS";
 
 /// Resolve the block-execution thread count: an explicit per-device
 /// override wins, then [`SIM_THREADS_ENV`], then the host's available
-/// parallelism. Always ≥ 1.
+/// parallelism (both read once, see [`crate::env::SimEnv`]). Always ≥ 1.
 pub fn resolve_threads(override_threads: Option<usize>) -> usize {
-    if let Some(n) = override_threads {
-        return n.max(1);
+    match override_threads {
+        Some(n) => n.max(1),
+        None => crate::env::SimEnv::get().sim_threads,
     }
-    if let Ok(v) = std::env::var(SIM_THREADS_ENV) {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
 /// Execute `f(block_id)` for every block id in `0..num_blocks` on up to

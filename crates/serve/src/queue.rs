@@ -166,6 +166,11 @@ impl Admission {
         self.paused = paused;
     }
 
+    /// Whether draining is paused.
+    pub fn paused(&self) -> bool {
+        self.paused
+    }
+
     /// Register a tenant; the returned lane index is its identity and the
     /// high half of all its job ids (registration order = lane order, so
     /// reruns with the same registration program get the same lanes).

@@ -106,6 +106,9 @@ struct Shared {
     cfg: ServiceConfig,
     admission: Mutex<Admission>,
     work_cv: Condvar,
+    /// Signalled (under the admission lock) when a completion leaves no
+    /// unit in flight; [`LaunchService::quiesce`] parks on it.
+    idle_cv: Condvar,
     deques: Vec<Mutex<VecDeque<Unit>>>,
     outcomes: Mutex<Vec<UnitOutcome>>,
     cache: PlanCache,
@@ -133,8 +136,8 @@ pub struct JobReport {
     pub batch_index: u32,
     /// Fingerprint of the plan that ran ([`omp_codegen::CompiledKernel::plan_hash`]).
     pub plan_hash: u64,
-    /// The launch's stats (batch-shared).
-    pub stats: LaunchStats,
+    /// The launch's stats: one allocation shared by every job of the batch.
+    pub stats: Arc<LaunchStats>,
     /// Max abs error vs host reference, when verification ran.
     pub max_abs_err: Option<f64>,
     /// Canonical virtual start (arrival-ordered per-device replay).
@@ -266,8 +269,15 @@ impl Client {
 
     /// Submit one job; returns its id, or typed backpressure.
     pub fn submit(&self, spec: &JobSpec) -> Result<u64, SubmitError> {
-        let id = self.shared.admission.lock().submit(self.tenant, spec)?;
-        self.shared.work_cv.notify_all();
+        let (id, paused) = {
+            let mut adm = self.shared.admission.lock();
+            (adm.submit(self.tenant, spec)?, adm.paused())
+        };
+        // A paused fleet has nothing to wake for: `resume` and `close`
+        // notify, and idle workers also poll on a timeout.
+        if !paused {
+            self.shared.work_cv.notify_all();
+        }
         Ok(id)
     }
 }
@@ -299,6 +309,7 @@ impl LaunchService {
             deques: (0..cfg.devices).map(|_| Mutex::new(VecDeque::new())).collect(),
             admission: Mutex::new(admission),
             work_cv: Condvar::new(),
+            idle_cv: Condvar::new(),
             outcomes: Mutex::new(Vec::new()),
             cache: PlanCache::new(),
             steals: AtomicU64::new(0),
@@ -340,24 +351,15 @@ impl LaunchService {
     /// without the shutdown fold. Must not be called on a paused fleet
     /// with queued work (it could never drain).
     pub fn quiesce(&self) {
-        {
-            let mut adm = self.shared.admission.lock();
-            adm.seal_all_open();
-        }
+        let mut adm = self.shared.admission.lock();
+        adm.seal_all_open();
         self.shared.work_cv.notify_all();
-        loop {
-            let drained_empty = {
-                let adm = self.shared.admission.lock();
-                adm.is_drained()
-            };
-            if drained_empty
-                && self.shared.deques.iter().all(|d| d.lock().is_empty())
-                && self.shared.drained_units.load(Ordering::Acquire)
-                    == self.shared.completed_units.load(Ordering::Acquire)
-            {
-                return;
-            }
-            std::thread::yield_now();
+        // Under the admission lock no drain is mid-flight, so equal unit
+        // counts mean every deque is empty and no unit is running. The
+        // worker that completes the last unit in flight signals `idle_cv`;
+        // the timeout bounds any missed signal.
+        while !(adm.is_drained() && self.shared.idle()) {
+            self.shared.idle_cv.wait_timeout(&mut adm, Duration::from_millis(1));
         }
     }
 
@@ -392,6 +394,13 @@ impl LaunchService {
             rejected,
             self.shared.steals.load(Ordering::Relaxed),
         )
+    }
+}
+
+impl Shared {
+    /// Every unit drained from admission has finished executing.
+    fn idle(&self) -> bool {
+        self.drained_units.load(Ordering::Acquire) == self.completed_units.load(Ordering::Acquire)
     }
 }
 
@@ -436,6 +445,12 @@ fn worker_loop(shared: &Shared, worker: u32) {
                 stolen,
             });
             shared.completed_units.fetch_add(1, Ordering::Release);
+            if shared.idle() {
+                // Taking the lock orders this signal after a waiting
+                // `quiesce`'s check, so the wakeup cannot be lost.
+                let _adm = shared.admission.lock();
+                shared.idle_cv.notify_all();
+            }
             continue;
         }
         let mut adm = shared.admission.lock();
@@ -468,7 +483,8 @@ fn worker_loop(shared: &Shared, worker: u32) {
 
 /// The deterministic fold: canonical per-device arrival-order replay on
 /// one timeline, dispatch-order replay on a second, then per-job reports
-/// sorted by id.
+/// in job-id order. Only small keys are sorted; each unit's stats move
+/// once into an `Arc` its batch's reports share.
 fn fold(
     mut outcomes: Vec<UnitOutcome>,
     devices: u32,
@@ -480,59 +496,63 @@ fn fold(
     let launches = outcomes.len() as u64;
 
     // Canonical replay: per device, serve units in (arrival, first-job-id)
-    // order — a pure function of what was submitted.
-    outcomes.sort_by_key(|o| (o.unit.device, o.unit.arrival_vt, o.unit.members[0].job_id));
+    // order — a pure function of what was submitted. First job ids are
+    // unique, so the order is total.
+    let mut canon: Vec<(u32, u64, u64, u32)> = outcomes
+        .iter()
+        .enumerate()
+        .map(|(i, o)| (o.unit.device, o.unit.arrival_vt, o.unit.members[0].job_id, i as u32))
+        .collect();
+    canon.sort_unstable();
     let canonical = Timeline::new();
     let streams: Vec<u32> = (0..devices).map(|d| canonical.register_stream(d)).collect();
-    let ops: Vec<usize> = outcomes
-        .iter()
-        .map(|o| {
-            canonical.record_job(
-                streams[o.unit.device as usize],
-                Resource::Compute,
-                o.stats.cycles,
-                o.unit.arrival_vt,
-            )
-        })
-        .collect();
-    let sched = canonical.scheduled_ops();
-    let times: std::collections::HashMap<usize, (u64, u64)> =
-        sched.iter().map(|v| (v.id, (v.start, v.finish))).collect();
+    for &(device, arrival_vt, _, i) in &canon {
+        let cycles = outcomes[i as usize].stats.cycles;
+        canonical.record_job(streams[device as usize], Resource::Compute, cycles, arrival_vt);
+    }
     let timeline = canonical.stats();
+    let times = replay_times(&canonical, canon.iter().map(|c| c.3));
 
     // Dispatch-order replay: serve units in drain order (what DRR and the
     // deques actually decided). Scheduling-dependent beyond one worker.
-    let mut by_drain: Vec<usize> = (0..outcomes.len()).collect();
-    by_drain.sort_by_key(|&i| outcomes[i].unit.drain_seq);
+    let mut by_drain: Vec<(u64, u32)> =
+        outcomes.iter().enumerate().map(|(i, o)| (o.unit.drain_seq, i as u32)).collect();
+    by_drain.sort_unstable();
     let dispatch = Timeline::new();
     let dstreams: Vec<u32> = (0..devices).map(|d| dispatch.register_stream(d)).collect();
-    let mut dop_of_outcome = vec![0usize; outcomes.len()];
-    for &i in &by_drain {
-        let o = &outcomes[i];
-        dop_of_outcome[i] = dispatch.record_job(
-            dstreams[o.unit.device as usize],
-            Resource::Compute,
-            o.stats.cycles,
-            o.unit.arrival_vt,
-        );
+    for &(_, i) in &by_drain {
+        let u = &outcomes[i as usize];
+        let stream = dstreams[u.unit.device as usize];
+        dispatch.record_job(stream, Resource::Compute, u.stats.cycles, u.unit.arrival_vt);
     }
-    let dtimes: std::collections::HashMap<usize, (u64, u64)> =
-        dispatch.scheduled_ops().iter().map(|v| (v.id, (v.start, v.finish))).collect();
+    let dtimes = replay_times(&dispatch, by_drain.iter().map(|d| d.1));
 
-    let mut jobs: Vec<JobReport> = Vec::new();
+    // One shared stats allocation per unit; reports come out in job-id
+    // order by sorting `(job id, unit, member)` keys, never the reports.
+    let stats: Vec<Arc<LaunchStats>> =
+        outcomes.iter_mut().map(|o| Arc::new(std::mem::take(&mut o.stats))).collect();
+    let mut order: Vec<(u64, u32, u32)> =
+        Vec::with_capacity(outcomes.iter().map(|o| o.unit.members.len()).sum());
     for (i, o) in outcomes.iter().enumerate() {
-        let (start_vt, finish_vt) = times[&ops[i]];
-        let (disp_start_vt, disp_finish_vt) = dtimes[&dop_of_outcome[i]];
-        for (bi, m) in o.unit.members.iter().enumerate() {
-            jobs.push(JobReport {
-                job_id: m.job_id,
+        order
+            .extend(o.unit.members.iter().enumerate().map(|(b, m)| (m.job_id, i as u32, b as u32)));
+    }
+    order.sort_unstable_by_key(|k| k.0);
+    let jobs = order
+        .into_iter()
+        .map(|(job_id, i, bi)| {
+            let (i, o) = (i as usize, &outcomes[i as usize]);
+            let m = &o.unit.members[bi as usize];
+            let ((start_vt, finish_vt), (disp_start_vt, disp_finish_vt)) = (times[i], dtimes[i]);
+            JobReport {
+                job_id,
                 tenant: m.tenant,
                 device: o.unit.device,
                 arrival_vt: m.arrival_vt,
                 batch_size: o.unit.members.len() as u32,
-                batch_index: bi as u32,
+                batch_index: bi,
                 plan_hash: o.plan_hash,
-                stats: o.stats.clone(),
+                stats: Arc::clone(&stats[i]),
                 max_abs_err: o.max_abs_err,
                 start_vt,
                 finish_vt,
@@ -540,11 +560,26 @@ fn fold(
                 disp_finish_vt,
                 executed_by: o.executed_by,
                 stolen: o.stolen,
-            });
-        }
-    }
-    jobs.sort_by_key(|j| j.job_id);
+            }
+        })
+        .collect();
     ServiceReport { jobs, timeline, plan_hits, plan_misses, launches, rejected, steals }
+}
+
+/// Each outcome's `(start, finish)` on `timeline`, where `recorded` names
+/// the outcome of every op in log order. Op ids are log positions, so
+/// once every op is scheduled the `k`-th view belongs to the `k`-th op.
+fn replay_times(
+    timeline: &Timeline,
+    recorded: impl ExactSizeIterator<Item = u32>,
+) -> Vec<(u64, u64)> {
+    let sched = timeline.scheduled_ops();
+    assert_eq!(sched.len(), recorded.len(), "every recorded unit must be scheduled");
+    let mut times = vec![(0, 0); sched.len()];
+    for (op, i) in sched.iter().zip(recorded) {
+        times[i as usize] = (op.start, op.finish);
+    }
+    times
 }
 
 #[cfg(test)]

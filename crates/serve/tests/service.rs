@@ -2,6 +2,8 @@
 //! references, typed backpressure and shutdown behave, stealing happens
 //! under skewed affinity without perturbing the deterministic report.
 
+use std::sync::Arc;
+
 use gpu_sim::ArchId;
 use omp_serve::{JobKind, JobSpec, LaunchService, ServiceConfig, SubmitError};
 
@@ -221,4 +223,89 @@ fn warm_cache_compiles_once_per_geometry() {
     assert_eq!(report.jobs.len(), 8);
     assert_eq!(report.plan_misses, 1, "one geometry, one compile");
     assert_eq!(report.plan_hits, 7);
+}
+
+/// A fixed mixed schedule on a paused single-worker fleet: with one worker
+/// draining a complete backlog, the drain order — and so the dispatch-order
+/// replay — is deterministic too, so every field of the fold is pinned.
+fn pinned_fold_report() -> omp_serve::ServiceReport {
+    let svc = LaunchService::start(ServiceConfig {
+        devices: 2,
+        workers: 1,
+        start_paused: true,
+        sim_threads: Some(1),
+        ..ServiceConfig::default()
+    });
+    let clients: Vec<_> = (0..3).map(|t| svc.client(&format!("tenant-{t}"))).collect();
+    let mut rng = testkit::SimRng::seed_from_u64(0xF01D);
+    let mut arrival = [0u64; 3];
+    for _ in 0..64 {
+        for (c, at) in clients.iter().zip(arrival.iter_mut()) {
+            *at += rng.range_u64(0, 40);
+            let spec = if rng.range_u32(0, 10) < 7 {
+                micro(1 + rng.range_usize(0, 2), 8, *at)
+            } else {
+                ideal(1 + rng.range_usize(0, 3), rng.next_u64(), *at)
+            };
+            let affinity = (rng.range_u32(0, 4) == 0).then(|| rng.range_u32(0, 2));
+            c.submit(&JobSpec { affinity, ..spec }).unwrap();
+        }
+    }
+    svc.resume();
+    svc.shutdown()
+}
+
+/// FNV-1a over every job's placement on both replays and its batch
+/// coordinates — the fields `digest()` leaves out included.
+fn placement_hash(report: &omp_serve::ServiceReport) -> u64 {
+    let mut h: u64 = 0xcbf29ce484222325;
+    for j in &report.jobs {
+        for v in [
+            j.job_id,
+            j.start_vt,
+            j.finish_vt,
+            j.disp_start_vt,
+            j.disp_finish_vt,
+            j.batch_size as u64,
+            j.batch_index as u64,
+        ] {
+            for b in v.to_le_bytes() {
+                h = (h ^ b as u64).wrapping_mul(0x100000001b3);
+            }
+        }
+    }
+    h
+}
+
+#[test]
+fn fold_output_is_pinned_at_one_worker() {
+    // Captured from the fold before it moved to sorted keys and shared
+    // stats; the fold must reproduce every field, not just the digest.
+    // Pins the default (hierarchical) memory model.
+    let r = pinned_fold_report();
+    assert_eq!(r.jobs.len(), 192);
+    assert_eq!(r.launches, 160);
+    assert_eq!(r.digest(), 0x3fd0_6218_b568_4992);
+    assert_eq!(r.timeline.makespan, 439_126);
+    assert_eq!(r.timeline.serialized, 696_072);
+    assert_eq!(r.timeline.critical_path, 439_121);
+    assert_eq!(r.timeline.ops, 160);
+    assert_eq!(placement_hash(&r), 0x2f2e_c90f_ada6_4942);
+    assert!(r.jobs.windows(2).all(|w| w[0].job_id < w[1].job_id), "reports sorted by job id");
+
+    // The jobs of one launch share one stats allocation.
+    let mut batched = 0;
+    for j in &r.jobs {
+        let first = r
+            .jobs
+            .iter()
+            .find(|k| k.device == j.device && k.start_vt == j.start_vt && k.batch_index == 0)
+            .expect("every batch has a member at index 0");
+        assert_eq!(first.batch_size, j.batch_size);
+        if j.batch_index > 0 {
+            batched += 1;
+            assert!(Arc::ptr_eq(&first.stats, &j.stats), "job {:#x} copied its stats", j.job_id);
+        }
+    }
+    assert!(batched > 0, "the schedule must coalesce some micro jobs");
 }
